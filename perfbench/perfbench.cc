@@ -11,9 +11,6 @@
 //   scan_cold   Facebook-like dense keys, 256 B values, Real-distribution
 //               ranges that mostly find a key, a 4 MB block cache against
 //               a tree about twenty times larger.
-//   ingest_mix  filter_hot's tree and reads, plus one open-loop writer
-//               putting fresh keys at a fixed rate, so flush, compaction
-//               and per-SST Sample -> Design -> Build run under the reads.
 //
 // Policy for every workload: filter proteus:bpk=12 with bpk_policy kFixed
 // and adaptive_redesign on (the defaults); WAL on with wal_sync=false (an
@@ -29,14 +26,10 @@
 // metrics derived from them. End-to-end numbers never come from a traced
 // run.
 
-#include <sched.h>
 #include <sys/resource.h>
-#include <sys/prctl.h>
-#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -44,9 +37,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
-#include <random>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -73,7 +64,6 @@ constexpr size_t kBatch = 64;
 constexpr int kMaxWarmupPasses = 4;
 constexpr size_t kSstReplayKeys = 4096;
 constexpr uint64_t kSstReplayCacheBytes = 64u << 20;
-constexpr uint64_t kLateNs = 1000000;  // a put starting 1 ms late is "late"
 
 struct Workload {
   const char* name;
@@ -84,16 +74,13 @@ struct Workload {
   uint64_t range_max;
   bool require_empty;
   size_t stream_queries;  // replayed cyclically; a multiple of kBatch
-  double put_rate;        // open-loop puts/s in the timed phase; 0 = none
 };
 
 constexpr Workload kWorkloads[] = {
     {"filter_hot", Dataset::kUniform, 128, uint64_t{256} << 20,
-     QueryDist::kCorrelated, uint64_t{1} << 6, true, 200000, 0.0},
+     QueryDist::kCorrelated, uint64_t{1} << 6, true, 200000},
     {"scan_cold", Dataset::kFacebook, 256, uint64_t{4} << 20,
-     QueryDist::kReal, uint64_t{1} << 10, false, 100032, 0.0},
-    {"ingest_mix", Dataset::kUniform, 128, uint64_t{256} << 20,
-     QueryDist::kCorrelated, uint64_t{1} << 6, true, 200000, 30000.0},
+     QueryDist::kReal, uint64_t{1} << 10, false, 100032},
 };
 
 struct Args {
@@ -151,12 +138,9 @@ struct Inputs {
   std::vector<RangeQuery> stream_int;  // the timed query stream
   QueryBatch stream;                   // the same, 8-byte big-endian
   std::vector<int64_t> expect;         // index of each answer in keys; -1
-  std::vector<uint64_t> fresh;         // writer keys in send order
-  std::vector<uint64_t> fresh_sorted;
 };
 
-Inputs MakeInputs(const Workload& w, size_t n_keys, double seconds,
-                  uint64_t seed) {
+Inputs MakeInputs(const Workload& w, size_t n_keys, uint64_t seed) {
   Inputs in;
   QuerySpec spec;
   spec.dist = w.dist;
@@ -186,25 +170,11 @@ Inputs MakeInputs(const Workload& w, size_t n_keys, double seconds,
                             ? it - in.keys.begin()
                             : -1);
   }
-  if (w.put_rate > 0) {
-    std::mt19937_64 rng(seed * 0x9E3779B97F4A7C15ull + 3);
-    const size_t n = static_cast<size_t>(w.put_rate * seconds * 1.1) + 1000;
-    while (in.fresh.size() < n) {
-      const uint64_t k = rng();
-      if (!std::binary_search(in.keys.begin(), in.keys.end(), k)) {
-        in.fresh.push_back(k);
-      }
-    }
-    in.fresh_sorted = in.fresh;
-    std::sort(in.fresh_sorted.begin(), in.fresh_sorted.end());
-  }
   return in;
 }
 
-/// True when `r` answers stream query `i` correctly. Read-only workloads
-/// have exactly one right answer. Under a writer the tree only grows, so
-/// an answer must lie in range, be a key that was put, and never come
-/// after the base key that answers the query (no base key is missed).
+/// True when `r` answers stream query `i` correctly: the first key in
+/// its range, or nothing when the range is empty.
 bool Check(const Workload& w, const Inputs& in, size_t i, const SeekResult& r,
            bool full_value) {
   if (!r.status.ok()) return false;
@@ -212,18 +182,7 @@ bool Check(const Workload& w, const Inputs& in, size_t i, const SeekResult& r,
   if (!r.found) return e < 0;
   if (r.key.size() != 8 || r.value.size() != w.value_size) return false;
   const uint64_t k = DecodeKeyBE(r.key);
-  if (w.put_rate == 0) {
-    if (e < 0 || k != in.keys[static_cast<size_t>(e)]) return false;
-  } else {
-    const RangeQuery& q = in.stream_int[i];
-    if (k < q.lo || k > q.hi) return false;
-    if (e >= 0 && k > in.keys[static_cast<size_t>(e)]) return false;
-    if (!std::binary_search(in.keys.begin(), in.keys.end(), k) &&
-        !std::binary_search(in.fresh_sorted.begin(), in.fresh_sorted.end(),
-                            k)) {
-      return false;
-    }
-  }
+  if (e < 0 || k != in.keys[static_cast<size_t>(e)]) return false;
   return !full_value || r.value == MakeValuePayload(k, w.value_size);
 }
 
@@ -283,11 +242,28 @@ class Histogram {
   double sum_ns_ = 0;
 };
 
-double Median(std::vector<double> v) {
+/// The q-quantile of `v`, interpolating between neighbours (0 if empty).
+double Quantile(std::vector<double> v, double q) {
   if (v.empty()) return 0.0;
   std::sort(v.begin(), v.end());
-  const size_t m = v.size() / 2;
-  return v.size() % 2 == 1 ? v[m] : (v[m - 1] + v[m]) / 2;
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const size_t i = static_cast<size_t>(pos);
+  if (i + 1 >= v.size()) return v.back();
+  return v[i] + (pos - static_cast<double>(i)) * (v[i + 1] - v[i]);
+}
+
+double Median(std::vector<double> v) { return Quantile(std::move(v), 0.5); }
+
+/// Timings report the level the program holds over three quarters of
+/// the run: the lower quartile of a throughput, the upper quartile of a
+/// latency. The shared host has phases, lasting seconds to tens of
+/// seconds, in which the same code runs up to 1.6x faster (measured on
+/// two Dbs in one process, alternating every half second: both sped up
+/// together, so the cause is the host, not the program's memory layout).
+/// A median moves with the share of the run such phases cover; the
+/// quartile moves only when they cover most of it.
+double SlowQuartile(std::vector<double> v, bool higher_is_better) {
+  return Quantile(std::move(v), higher_is_better ? 0.25 : 0.75);
 }
 
 double Ratio(double num, double den) { return den == 0 ? 0.0 : num / den; }
@@ -321,95 +297,16 @@ double DbMemMb(Db& db) {
          1e6;
 }
 
-
-/// The ids of this process's threads.
-std::vector<pid_t> ThreadIds() {
-  std::vector<pid_t> tids;
-  std::error_code ec;
-  for (const auto& entry :
-       std::filesystem::directory_iterator("/proc/self/task", ec)) {
-    tids.push_back(static_cast<pid_t>(
-        std::strtol(entry.path().filename().c_str(), nullptr, 10)));
-  }
-  return tids;
-}
-
-/// Moves groups of threads across the CPUs in lockstep. Each group owns
-/// a run of consecutive CPUs (the calling thread owns the first one);
-/// every kHopNs all runs shift by one CPU, so groups never share a CPU
-/// and every thread visits every CPU in turn. On a shared host one CPU
-/// can run a Seek 1.6x slower than another for tens of seconds (a busy
-/// neighbour on the same core), so a thread left on one CPU reports the
-/// luck of that CPU rather than the machine. Sharing a CPU with a busy
-/// thread is worse still: a woken thread can wait a scheduler tick
-/// (4 ms). Rotation is off when the groups need more CPUs than the
-/// process may use. The destructor gives every thread all CPUs back;
-/// threads created while a rotation lives inherit a one-CPU mask.
-class CpuRotation {
- public:
-  static constexpr uint64_t kHopNs = 10000000;
-
-  CpuRotation() {
-    CPU_ZERO(&all_);
-    if (sched_getaffinity(0, sizeof(all_), &all_) != 0) return;
-    for (int c = 0; c < CPU_SETSIZE; ++c) {
-      if (CPU_ISSET(c, &all_)) cpus_.push_back(c);
-    }
-    AddGroup({gettid()}, 1);
-  }
-  ~CpuRotation() {
-    for (const Group& g : groups_) {
-      for (pid_t tid : g.tids) sched_setaffinity(tid, sizeof(all_), &all_);
-    }
-  }
-  CpuRotation(const CpuRotation&) = delete;
-  CpuRotation& operator=(const CpuRotation&) = delete;
-
-  void AddGroup(std::vector<pid_t> tids, size_t n_cpus) {
-    groups_.push_back({std::move(tids), used_, n_cpus});
-    used_ += n_cpus;
-  }
-
-  void Tick(uint64_t now_ns) {
-    if (cpus_.size() < 2 || used_ > cpus_.size() || now_ns < next_hop_ns_) {
-      return;
-    }
-    next_hop_ns_ = now_ns + kHopNs;
-    shift_ = (shift_ + 1) % cpus_.size();
-    for (const Group& g : groups_) {
-      cpu_set_t set;
-      CPU_ZERO(&set);
-      for (size_t i = 0; i < g.n_cpus; ++i) {
-        CPU_SET(cpus_[(g.first + shift_ + i) % cpus_.size()], &set);
-      }
-      for (pid_t tid : g.tids) sched_setaffinity(tid, sizeof(set), &set);
-    }
-  }
-
- private:
-  struct Group {
-    std::vector<pid_t> tids;
-    size_t first;
-    size_t n_cpus;
-  };
-
-  cpu_set_t all_;
-  std::vector<int> cpus_;
-  std::vector<Group> groups_;
-  size_t used_ = 0;
-  size_t shift_ = 0;
-  uint64_t next_hop_ns_ = 0;
-};
-
-/// Records a span when tracing (log != null).
+/// Records a span when tracing (log != null). Each public call the
+/// benchmark makes is one operation, so a span's operation id is its own.
 void AddSpan(SpanLog* log, SpanName name, uint64_t id, uint64_t parent,
              uint64_t start_ns, uint64_t end_ns, uint64_t n = 1,
-             const Delta& delta = {}, uint64_t op = 0) {
+             const Delta& delta = {}) {
   if (log == nullptr) return;
   Span s;
   s.id = id;
   s.parent = parent;
-  s.op = op == 0 ? id : op;
+  s.op = id;
   s.name = name;
   s.start_ns = start_ns;
   s.end_ns = end_ns;
@@ -424,7 +321,7 @@ void AddSpan(SpanLog* log, SpanName name, uint64_t id, uint64_t parent,
 /// given.
 template <typename Fn>
 uint64_t Timed(SpanLog* log, Db* db, SpanName name, uint64_t parent,
-               Fn&& call, uint64_t op = 0) {
+               Fn&& call) {
   const bool traced = log != nullptr && log->Wants(name);
   Counters before;
   if (traced && db != nullptr) before = Snap(*db);
@@ -433,7 +330,7 @@ uint64_t Timed(SpanLog* log, Db* db, SpanName name, uint64_t parent,
   const uint64_t end = NowNs();
   if (traced) {
     AddSpan(log, name, NextId(), parent, start, end, 1,
-            db != nullptr ? Diff(before, Snap(*db)) : Delta{}, op);
+            db != nullptr ? Diff(before, Snap(*db)) : Delta{});
   }
   return end - start;
 }
@@ -462,7 +359,6 @@ struct Setup {
   uint64_t bytes_written = 0;  // by the load and its compactions
   int warmup_passes = 0;
   Delta last_pass;  // counters over the last (drift-free) warm-up pass
-  std::vector<pid_t> pool_tids;  // the Db's background threads
   std::vector<size_t> files;  // per level, after set-up
   uint64_t sst_bytes = 0;
   uint64_t filter_bits = 0;
@@ -475,13 +371,11 @@ struct Setup {
 /// run and the warmed tree never depends on thread timing.
 int WarmUp(Db& db, const Workload& w, const Inputs& in, Tally* tally,
            Delta* last_pass) {
-  CpuRotation rotation;
   for (int pass = 1; pass <= kMaxWarmupPasses; ++pass) {
     const Counters before = Snap(db);
     uint64_t drift = before.db.drift_detected;
     bool fired = false;
     for (size_t i = 0; i < in.stream.size(); ++i) {
-      rotation.Tick(NowNs());
       const SeekResult r = db.Seek(in.stream[i].lo, in.stream[i].hi);
       tally->Count(Check(w, in, i, r, /*full_value=*/pass == 1));
       const uint64_t now = db.stats().drift_detected;
@@ -522,7 +416,6 @@ bool SetUp(const Workload& w, const Inputs& in, const std::string& dir,
   const uint64_t phase = out->phase_id;
   const uint64_t start = NowNs();
   const uint64_t written_before = ProcessBytesWritten();
-  const std::vector<pid_t> tids_before = ThreadIds();
   Timed(log, nullptr, kDbCreate, phase, [&] {
     auto created = Db::Create(options);
     out->db = std::move(created.first);
@@ -532,18 +425,10 @@ bool SetUp(const Workload& w, const Inputs& in, const std::string& dir,
     std::fprintf(stderr, "Db::Create: %s\n", status.ToString().c_str());
     return false;
   }
-  for (pid_t tid : ThreadIds()) {
-    if (std::find(tids_before.begin(), tids_before.end(), tid) ==
-        tids_before.end()) {
-      out->pool_tids.push_back(tid);
-    }
-  }
   Db& db = *out->db;
   db.query_queue().Seed(seed_queue);
 
-  CpuRotation rotation;  // after Db::Create: the pool keeps every CPU
   for (size_t i = 0; i < in.keys.size(); ++i) {
-    rotation.Tick(NowNs());
     const std::string key = EncodeKeyBE(in.keys[i]);
     const std::string value = MakeValuePayload(in.keys[i], w.value_size);
     put_lat->Add(Timed(log, &db, kDbPut, phase,
@@ -584,34 +469,56 @@ bool SetUp(const Workload& w, const Inputs& in, const std::string& dir,
 // Timed phase
 // ---------------------------------------------------------------------------
 
+/// One stream's slices over the timed phase. The end-to-end figures are
+/// quartiles (see SlowQuartile): throughput over chunks of kChunkQueries,
+/// latency percentiles over slices. A short burst of interference (the
+/// reader descheduled, its virtual CPU taken by the host) spoils only the
+/// chunks and slices it hits.
 struct Window {
+  static constexpr uint64_t kChunkQueries = 256;
+
   uint64_t phase_id = NextId();
   uint64_t start_ns = 0, end_ns = 0;
-  Histogram lat;  // per Seek, or per batch for MultiSeek
+  Histogram lat;  // per Seek, or per batch for MultiSeek, over all slices
   uint64_t queries = 0;
-  uint64_t busy_ns = 0;  // summed slice time
-  Delta counts;          // summed over the window's slices
-  double l0_files_sum = 0;
-  uint64_t l0_samples = 0;
+  std::vector<double> chunk_qps;
+  std::vector<double> slice_p50_us, slice_p99_us;
 
-  double Qps() const { return Ratio(queries, busy_ns / 1e9); }
+  /// Call after each operation; closes a chunk every kChunkQueries.
+  void Tock(uint64_t now_ns) {
+    if (queries - chunk_queries_ < kChunkQueries) return;
+    chunk_qps.push_back(
+        Ratio(queries - chunk_queries_, (now_ns - chunk_start_ns_) / 1e9));
+    OpenChunk(now_ns);
+  }
+  /// Starts a chunk; a chunk never spans two slices.
+  void OpenChunk(uint64_t now_ns) {
+    chunk_start_ns_ = now_ns;
+    chunk_queries_ = queries;
+  }
+
+  double Qps() const { return SlowQuartile(chunk_qps, true); }
+  double P50Us() const { return SlowQuartile(slice_p50_us, false); }
+  double P99Us() const { return SlowQuartile(slice_p99_us, false); }
+
+ private:
+  uint64_t chunk_start_ns_ = 0;
+  uint64_t chunk_queries_ = 0;
 };
 
 /// The single closed-loop reader. Its Seek and MultiSeek streams run in
-/// alternating slices of kSliceNs, so both see the same mix of background
-/// work (and of CPU interference) over the run; each stream resumes
-/// where its last slice stopped.
+/// alternating slices of kSliceNs, so both see the same host conditions
+/// over the run; each stream resumes where its last slice stopped.
 class Reader {
  public:
-  static constexpr uint64_t kSliceNs = 100000000;
+  static constexpr uint64_t kSliceNs = 50000000;
 
   Reader(Db& db, QueryEngine& engine, const Workload& w, const Inputs& in,
-         CpuRotation* rotation, SpanLog* log, Tally* tally)
+         SpanLog* log, Tally* tally)
       : db_(db),
         engine_(engine),
         w_(w),
         in_(in),
-        rotation_(rotation),
         log_(log),
         tally_(tally) {
     for (size_t off = 0; off < in.stream.size(); off += kBatch) {
@@ -626,28 +533,30 @@ class Reader {
   void Seeks(Window* win, bool spans) {
     SpanLog* log = spans ? log_ : nullptr;
     const uint64_t start = BeginSlice(win);
-    const Counters before = Snap(db_);
+    Histogram slice;
     for (uint64_t now = start; now < start + kSliceNs;) {
-      rotation_->Tick(now);
       const size_t i = next_query_;
       next_query_ = (next_query_ + 1) % in_.stream.size();
       SeekResult r;
-      win->lat.Add(Timed(log, &db_, kDbSeek, win->phase_id, [&] {
+      const uint64_t ns = Timed(log, &db_, kDbSeek, win->phase_id, [&] {
         r = db_.Seek(in_.stream[i].lo, in_.stream[i].hi);
-      }));
+      });
+      win->lat.Add(ns);
+      slice.Add(ns);
       tally_->Count(Check(w_, in_, i, r, win->queries < in_.stream.size()));
       ++win->queries;
       now = NowNs();
+      win->Tock(now);
     }
-    EndSlice(win, start, before);
+    win->end_ns = NowNs();
+    win->slice_p50_us.push_back(slice.PercentileUs(0.50));
+    win->slice_p99_us.push_back(slice.PercentileUs(0.99));
   }
 
   /// One slice of QueryEngine::Run over batches of kBatch.
   void MultiSeeks(Window* win) {
     const uint64_t start = BeginSlice(win);
-    const Counters before = Snap(db_);
     for (uint64_t now = start; now < start + kSliceNs;) {
-      rotation_->Tick(now);
       const size_t b = next_batch_;
       next_batch_ = (next_batch_ + 1) % batches_.size();
       BatchStats stats;
@@ -676,32 +585,23 @@ class Reader {
                                      win->queries < in_.stream.size()));
       }
       win->queries += batches_[b].size();
+      win->Tock(NowNs());
     }
-    EndSlice(win, start, before);
+    win->end_ns = NowNs();
   }
 
  private:
   uint64_t BeginSlice(Window* win) {
-    if (log_ != nullptr) {
-      win->l0_files_sum += static_cast<double>(db_.LevelFileCounts()[0]);
-      ++win->l0_samples;
-    }
     const uint64_t start = NowNs();
     if (win->start_ns == 0) win->start_ns = start;
+    win->OpenChunk(start);
     return start;
-  }
-
-  void EndSlice(Window* win, uint64_t start, const Counters& before) {
-    win->end_ns = NowNs();
-    win->busy_ns += win->end_ns - start;
-    win->counts.Accumulate(Diff(before, Snap(db_)));
   }
 
   Db& db_;
   QueryEngine& engine_;
   const Workload& w_;
   const Inputs& in_;
-  CpuRotation* rotation_;
   SpanLog* log_;
   Tally* tally_;
   std::vector<QueryBatch> batches_;
@@ -709,71 +609,6 @@ class Reader {
   size_t next_query_ = 0;
   size_t next_batch_ = 0;
 };
-
-struct Writer {
-  Histogram lat;      // scheduled send -> return, as if sent on time
-  Histogram service;  // call -> return
-  Histogram lag;      // scheduled send -> call
-  std::atomic<pid_t> tid{0};
-  uint64_t late = 0;                 // calls starting >= kLateNs late
-  uint64_t user_bytes = 0;
-  bool ran_out = false;
-  Tally tally;
-  SpanLog log;
-};
-
-/// Open-loop writer: put i is due at start + i / rate and is timed from
-/// then, so a stall also charges the puts queued behind it. The thread
-/// sleeps (never spins) until each put is due. Waking from that sleep can
-/// take milliseconds on a shared host, and a late generator would make
-/// every later put look slow; so the latency is that of a generator that
-/// sends on time: each put starts at its due time or when the previous
-/// put returned, whichever is later, and then takes its measured service
-/// time. The generator's own lateness is reported apart (gen.*).
-void RunWriter(Db& db, const Workload& w, const Inputs& in, bool traced,
-               uint64_t phase, const std::atomic<bool>& stop, Writer* out) {
-  // The default 50 us timer slack would dwarf a put's service time.
-  prctl(PR_SET_TIMERSLACK, 1000UL, 0, 0, 0);
-  out->tid.store(gettid());
-  SpanLog* log = traced ? &out->log : nullptr;
-  const uint64_t start = NowNs();
-  uint64_t free_at = 0;  // when the previous put would have returned
-  for (size_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
-    if (i == in.fresh.size()) {
-      out->ran_out = true;
-      break;
-    }
-    const std::string key = EncodeKeyBE(in.fresh[i]);
-    const std::string value = MakeValuePayload(in.fresh[i], w.value_size);
-    const uint64_t due =
-        start + static_cast<uint64_t>(static_cast<double>(i) * 1e9 /
-                                      w.put_rate);
-    if (NowNs() < due) {
-      timespec ts;
-      ts.tv_sec = static_cast<time_t>(due / 1000000000ull);
-      ts.tv_nsec = static_cast<long>(due % 1000000000ull);
-      while (clock_nanosleep(CLOCK_MONOTONIC, TIMER_ABSTIME, &ts, nullptr) ==
-             EINTR) {
-      }
-    }
-    const uint64_t op = NextId();
-    const uint64_t call = NowNs();
-    Status status;
-    const uint64_t service = Timed(
-        log, &db, kDbPut, phase, [&] { status = db.Put(key, value); }, op);
-    const uint64_t lag = call > due ? call - due : 0;
-    if (log != nullptr && log->Wants(kGenWait)) {
-      AddSpan(log, kGenWait, NextId(), phase, due, call, 1, {}, op);
-    }
-    free_at = std::max(free_at, due) + service;
-    out->lat.Add(free_at - due);
-    out->service.Add(service);
-    out->lag.Add(lag);
-    out->late += lag >= kLateNs ? 1 : 0;
-    out->user_bytes += key.size() + value.size();
-    out->tally.Count(status.ok());
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Traced-only layers: SST reads outside the Db, and one standalone filter
@@ -1039,7 +874,7 @@ int Run(const Args& args) {
     return 2;
   }
   const Workload& w = *found;
-  const Inputs in = MakeInputs(w, args.keys, args.seconds, args.seed);
+  const Inputs in = MakeInputs(w, args.keys, args.seed);
   const std::string db_dir = args.dir + "/db";
   std::filesystem::create_directories(args.dir);
   SpanLog main_log;
@@ -1068,34 +903,14 @@ int Run(const Args& args) {
     return 1;
   }
 
-  // Timed phase. A writer (ingest_mix) runs across both read windows.
-  const uint64_t ingest_phase = NextId();
-  const uint64_t written_before = ProcessBytesWritten();
-  const uint64_t timed_start = NowNs();
-  std::atomic<bool> stop{false};
-  Writer writer;
-  std::thread writer_thread;
-  if (w.put_rate > 0) {
-    writer_thread =
-        std::thread(RunWriter, std::ref(db), std::cref(w), std::cref(in),
-                    args.trace, ingest_phase, std::cref(stop), &writer);
-  }
-  // The traced run interleaves an untraced Seek slice with each traced
-  // one, so trace.overhead_us compares like with like.
+  // Timed phase. The traced run interleaves an untraced Seek slice with
+  // each traced one, so trace.overhead_us compares like with like.
   Window untraced, seeks, multi;
   const std::vector<Db::SstDesignInfo> design_before = db.DesignInfo();
   {
-    // The reader, the writer and the background pool rotate over the
-    // CPUs together, each on CPUs of its own.
-    CpuRotation rotation;
-    if (writer_thread.joinable()) {
-      while (writer.tid.load() == 0) std::this_thread::yield();
-      rotation.AddGroup({writer.tid.load()}, 1);
-      rotation.AddGroup(setup.pool_tids, setup.pool_tids.size());
-    }
-    Reader reader(db, *engine, w, in, &rotation, log, &tally);
+    Reader reader(db, *engine, w, in, log, &tally);
     const uint64_t deadline =
-        timed_start + static_cast<uint64_t>(args.seconds * 1e9);
+        NowNs() + static_cast<uint64_t>(args.seconds * 1e9);
     while (NowNs() < deadline) {
       if (args.trace) reader.Seeks(&untraced, /*spans=*/false);
       reader.Seeks(&seeks, /*spans=*/true);
@@ -1111,71 +926,36 @@ int Run(const Args& args) {
           seeks.queries);
   AddSpan(log, kPhaseMultiSeek, multi.phase_id, 0, multi.start_ns,
           multi.end_ns, multi.queries);
-  const uint64_t timed_end = NowNs();
   const double db_mem_mb = DbMemMb(db);
-  uint64_t drain_written = 0;
-  if (w.put_rate > 0) {
-    stop.store(true);
-    writer_thread.join();
-    AddSpan(log, kPhaseIngest, ingest_phase, 0, timed_start, timed_end,
-            writer.lat.count());
-    tally.attempted += writer.tally.attempted;
-    tally.failed += writer.tally.failed;
-    // Finish the work the writer caused, so write_amp charges whole
-    // flush and compaction cycles.
-    status = db.Flush();
-    tally.Count(status.ok());
-    db.WaitForBackground();
-    drain_written = ProcessBytesWritten() - written_before;
-    if (writer.ran_out || writer.late > writer.lat.count() / 100) {
-      std::fprintf(stderr,
-                   "warning: writer fell behind schedule (%llu of %zu puts "
-                   "late by >= 1 ms%s)\n",
-                   static_cast<unsigned long long>(writer.late),
-                   writer.lat.count(), writer.ran_out ? ", ran out" : "");
-    }
-  }
   const Counters end = Snap(db);
-  const double timed_s = (timed_end - timed_start) / 1e9;
-  const bool growing = w.put_rate > 0;
-  const uint64_t user_bytes =
-      setup.user_bytes + (growing ? writer.user_bytes : 0);
-  const uint64_t sst_bytes = growing ? db.TotalSstBytes() : setup.sst_bytes;
-  const double bits_per_key =
-      growing ? Ratio(static_cast<double>(db.TotalFilterBits()),
-                      static_cast<double>(db.TotalKeys()))
-              : Ratio(static_cast<double>(setup.filter_bits),
-                      static_cast<double>(setup.total_keys));
 
   Metrics m;
   if (!args.trace) {
-    m.Add("seek_p50_us", seeks.lat.PercentileUs(0.50), "us");
-    m.Add("seek_p99_us", seeks.lat.PercentileUs(0.99), "us");
+    m.Add("seek_p50_us", seeks.P50Us(), "us");
+    m.Add("seek_p99_us", seeks.P99Us(), "us");
     m.Add("seek_qps", seeks.Qps(), "1/s");
     m.Add("multiseek_qps", multi.Qps(), "1/s");
-    // Read-only workloads count over the last warm-up pass: the same
-    // queries on the same tree with nothing running behind them, so the
-    // count repeats exactly at a seed. Under a writer, count the timed
-    // Seek slices.
-    const Delta& reads = growing ? seeks.counts : setup.last_pass;
+    // Counted over the last warm-up pass: the same queries on the same
+    // tree with nothing running behind them, so the count repeats exactly
+    // at a seed.
+    const Delta& reads = setup.last_pass;
     m.Add("sst_probes_per_seek", Ratio(reads.sst_seeks, reads.seeks), "count");
-    m.Add("filter_bits_per_key", bits_per_key, "bits");
-    m.Add("space_amp", Ratio(sst_bytes, user_bytes), "ratio");
-    m.Add("write_amp",
-          growing ? Ratio(drain_written, writer.user_bytes)
-                  : Ratio(setup.bytes_written, setup.user_bytes),
+    m.Add("filter_bits_per_key",
+          Ratio(static_cast<double>(setup.filter_bits),
+                static_cast<double>(setup.total_keys)),
+          "bits");
+    m.Add("space_amp", Ratio(setup.sst_bytes, setup.user_bytes), "ratio");
+    m.Add("write_amp", Ratio(setup.bytes_written, setup.user_bytes),
           "ratio");
   } else {
     SstReplay sst = RunSstReplay(db, w, in, db_dir, log, &tally);
     Model model;
     tally.Count(RunModel(w, in, log, &model));
 
-    std::vector<Span> spans = main_log.spans();
-    spans.insert(spans.end(), writer.log.spans().begin(),
-                 writer.log.spans().end());
+    const std::vector<Span>& spans = main_log.spans();
     const std::string trace_path = args.dir + "/trace-" + args.workload +
                                    "-" + std::to_string(args.seed) + ".csv";
-    if (!WriteSpansCsv(trace_path, {&main_log, &writer.log})) {
+    if (!WriteSpansCsv(trace_path, {&main_log})) {
       std::fprintf(stderr, "cannot write %s\n", trace_path.c_str());
       return 1;
     }
@@ -1194,18 +974,13 @@ int Run(const Args& args) {
                                &run_ns);
     uint64_t n_put = 0;
     Histogram put_ns;
-    const Delta pd = SumDeltas(spans, kDbPut,
-                               growing ? ingest_phase : setup.phase_id,
-                               &n_put, &put_ns);
-    uint64_t n_wait = 0;
-    Histogram lag_ns;
-    SumDeltas(spans, kGenWait, ingest_phase, &n_wait, &lag_ns);
-    // Write-side totals come from the phase counters, not the (capped)
-    // spans: set-up for read-only workloads, the timed phase plus its
-    // drain under a writer.
+    const Delta pd =
+        SumDeltas(spans, kDbPut, setup.phase_id, &n_put, &put_ns);
+    // Write-side totals come from the set-up's counters, not the (capped)
+    // spans.
     const Counters zero;
-    const Counters& write_from = growing ? setup.warmed : zero;
-    const Counters& write_to = growing ? end : setup.loaded;
+    const Counters& write_from = zero;
+    const Counters& write_to = setup.loaded;
 
     m.Add("engine.run_us_p50", run_ns.PercentileUs(0.5), "us");
     m.Add("engine.sst_probes_per_query", Ratio(ed.sst_seeks, n_query),
@@ -1221,8 +996,7 @@ int Run(const Args& args) {
     m.Add("lsm.read.fp_probes_per_seek", Ratio(sd.fp_files, n_seek), "count");
     // Counted like sst_probes_per_seek, so it too repeats at a seed on
     // read-only workloads.
-    m.Add("lsm.read.observed_fpr",
-          ObservedFpr(growing ? seeks.counts : setup.last_pass), "ratio");
+    m.Add("lsm.read.observed_fpr", ObservedFpr(setup.last_pass), "ratio");
     m.Add("lsm.read.queue_sampled_per_empty_seek",
           Ratio(sd.queue_sampled, sd.empty_seeks), "ratio");
     m.Add("lsm.read.errors", end.db.read_errors - setup.warmed.db.read_errors,
@@ -1245,24 +1019,13 @@ int Run(const Args& args) {
           (write_to.db.stall_wait_us - write_from.db.stall_wait_us) / 1e3,
           "ms");
     m.Add("lsm.write.shard_skew", ShardSkew(write_from, write_to), "ratio");
-    m.Add("lsm.maint.flushes",
-          Ratio(end.db.flushes - setup.warmed.db.flushes, timed_s), "1/s");
-    m.Add("lsm.maint.compactions",
-          Ratio(end.db.compactions - setup.warmed.db.compactions, timed_s),
-          "1/s");
-    m.Add("lsm.maint.l0_files_mean",
-          Ratio(untraced.l0_files_sum + seeks.l0_files_sum +
-                    multi.l0_files_sum,
-                untraced.l0_samples + seeks.l0_samples + multi.l0_samples),
-          "count");
     const double build_s = setup.loaded.db.filter_build_ns / 1e9;
     m.Add("lsm.maint.filter_build_s", build_s, "s");
     m.Add("lsm.maint.filter_build_share_of_setup",
           Ratio(build_s, setup.seconds), "ratio");
     m.Add("lsm.maint.redesigns", end.db.redesigns, "count");
     m.Add("lsm.maint.drift_detected", end.db.drift_detected, "count");
-    m.Add("lsm.maint.bytes_written_mb",
-          (growing ? drain_written : setup.bytes_written) / 1e6, "MB");
+    m.Add("lsm.maint.bytes_written_mb", setup.bytes_written / 1e6, "MB");
     const Counters* bounds[] = {&zero, &setup.loaded, &setup.warmed, &end};
     const char* const phase_names[] = {"setup", "warmup", "timed"};
     for (size_t p = 0; p < 3; ++p) {
@@ -1289,8 +1052,6 @@ int Run(const Args& args) {
           Ratio(checks_per_seek * model.maycontain_ns, seek_mean_ns), "ratio");
     m.Add("model.modeled_fpr",
           ModeledFpr(design_before, design_after), "ratio");
-    m.Add("gen.writer_lag_us_p99", lag_ns.PercentileUs(0.99), "us");
-    m.Add("gen.late_puts", writer.late, "count");
     m.Add("trace.overhead_us",
           seeks.lat.PercentileUs(0.5) - untraced.lat.PercentileUs(0.5),
           "us");
@@ -1311,11 +1072,10 @@ int Run(const Args& args) {
     std::fprintf(stderr, "warning: set-up did not repeat the same tree\n");
   }
   if (!args.trace) {
-    // Read-only workloads put only during set-up: closed loop, so the
-    // latency is the service time.
-    const Histogram& puts = growing ? writer.lat : load_puts;
-    m.Add("put_p50_us", puts.PercentileUs(0.50), "us");
-    m.Add("put_p99_us", puts.PercentileUs(0.99), "us");
+    // The set-up load's puts: closed loop, so the latency is the service
+    // time.
+    m.Add("put_p50_us", load_puts.PercentileUs(0.50), "us");
+    m.Add("put_p99_us", load_puts.PercentileUs(0.99), "us");
     m.Add("setup_s", Median(setup_seconds), "s");
     m.Add("success_rate",
           1.0 - Ratio(tally.failed, std::max<uint64_t>(tally.attempted, 1)),
@@ -1334,15 +1094,14 @@ int Run(const Args& args) {
       "\"wal_sync\": false, \"setup_s\": [%s], \"tree\": \"%s\", "
       "\"tree_repeats\": %s, \"seek_samples\": %zu, "
       "\"multiseek_batches\": %zu, \"put_samples\": %zu, "
-      "\"late_puts\": %llu, \"rss_peak_mb\": %.1f}}\n",
+      "\"rss_peak_mb\": %.1f}}\n",
       args.workload.c_str(), static_cast<unsigned long long>(args.seed),
       args.trace ? 1 : 0, SimdAvx2Enabled() ? "true" : "false",
       ForceScalar() ? "true" : "false", sysconf(_SC_NPROCESSORS_ONLN),
       __VERSION__, PERFBENCH_BUILD_TYPE, kFilterSpec, setups_json.c_str(),
       TreeShape(setup).c_str(), shape_repeats ? "true" : "false",
       seeks.lat.count(), multi.lat.count(),
-      growing ? writer.lat.count() : load_puts.count(),
-      static_cast<unsigned long long>(writer.late), rss_mb);
+      load_puts.count(), rss_mb);
   std::printf(
       "{\"correct\": %s, \"attempted\": %llu, \"failed\": %llu, "
       "\"metrics\": %s}\n",

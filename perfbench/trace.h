@@ -2,12 +2,11 @@
 //
 // A span is one timed call the benchmark made into a public API (or one
 // benchmark phase that encloses such calls): name, start, end, parent
-// span, and an operation id shared by the spans of one operation (a
-// put's schedule wait and its Db::Put call). Spans recorded around a
-// call also carry the deltas of the DbStats, BlockCache::Stats and
-// WalWriter::Stats counters across it. Every thread appends to its own
-// SpanLog; the logs stay in memory until the run ends and are then
-// written out as one CSV file.
+// span, and an operation id shared by the spans of one operation. Spans
+// recorded around a call also carry the deltas of the DbStats,
+// BlockCache::Stats and WalWriter::Stats counters across it. Every thread
+// appends to its own SpanLog; the logs stay in memory until the run ends
+// and are then written out as one CSV file.
 
 #ifndef PROTEUS_PERFBENCH_TRACE_H_
 #define PROTEUS_PERFBENCH_TRACE_H_
@@ -31,7 +30,7 @@ namespace perfbench {
 /// Levels broken out by name in per-level metrics (.L0 .. .L3).
 constexpr size_t kLevels = 4;
 
-/// Nanoseconds on CLOCK_MONOTONIC (the clock the writer sleeps on).
+/// Nanoseconds on CLOCK_MONOTONIC.
 inline uint64_t NowNs() {
   timespec ts;
   clock_gettime(CLOCK_MONOTONIC, &ts);
@@ -128,7 +127,6 @@ enum SpanName : uint16_t {
   kPhaseSstCold,
   kPhaseSstWarm,
   kPhaseModel,
-  kPhaseIngest,
   kDbCreate,
   kDbPut,
   kDbFlush,
@@ -136,7 +134,6 @@ enum SpanName : uint16_t {
   kDbWaitForBackground,
   kDbSeek,
   kEngineRun,
-  kGenWait,
   kSstOpen,
   kSstSeekInRange,
   kBuilderSample,
@@ -158,7 +155,6 @@ inline const char* SpanNameString(SpanName name) {
       "phase.sst_cold",
       "phase.sst_warm",
       "phase.model",
-      "phase.ingest",
       "Db::Create",
       "Db::Put",
       "Db::Flush",
@@ -166,7 +162,6 @@ inline const char* SpanNameString(SpanName name) {
       "Db::WaitForBackground",
       "Db::Seek",
       "QueryEngine::Run",
-      "gen.wait",
       "SstReader::Open",
       "SstReader::SeekInRange",
       "FilterBuilder::Sample",
