@@ -323,7 +323,10 @@ void PrefixBloom::AppendTo(std::string* out) const {
 }
 
 bool PrefixBloom::ParseFrom(std::string_view* in, PrefixBloom* out) {
-  return GetFixed32(in, &out->prefix_len_) && GetFixed64(in, &out->n_items_) &&
+  // 64-bit keys have no longer prefix, and PrefixBits64 shifts by
+  // 64 - prefix_len: a larger stored length is corrupt, not a design.
+  return GetFixed32(in, &out->prefix_len_) && out->prefix_len_ <= 64 &&
+         GetFixed64(in, &out->n_items_) &&
          BloomFilter::ParseFrom(in, &out->bf_);
 }
 

@@ -193,6 +193,10 @@ std::unique_ptr<ProteusFilter> ProteusFilter::DeserializePayload(
       !PrefixBloom::ParseFrom(in, &filter->bf_)) {
     return nullptr;
   }
+  // The same bound Create puts on the trie/bloom spec keys.
+  if (filter->config_.trie_depth > 64 || filter->config_.bf_prefix_len > 64) {
+    return nullptr;
+  }
   if (has_fpr != 0) filter->modeled_fpr_ = fpr;
   return filter;
 }

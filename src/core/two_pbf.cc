@@ -190,6 +190,8 @@ std::unique_ptr<TwoPbfFilter> TwoPbfFilter::DeserializePayload(
       !PrefixBloom::ParseFrom(in, &filter->bf2_)) {
     return nullptr;
   }
+  // The same upper bound Create puts on the l1/l2 spec keys.
+  if (filter->config_.l1 > 64 || filter->config_.l2 > 64) return nullptr;
   if (has_fpr != 0) filter->modeled_fpr_ = fpr;
   return filter;
 }

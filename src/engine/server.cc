@@ -28,7 +28,7 @@ bool SetNonBlocking(int fd) {
 }  // namespace
 
 BatchServer::BatchServer(Db* db, ServerOptions options)
-    : db_(db), options_(std::move(options)) {}
+    : options_(std::move(options)), engine_(db) {}
 
 BatchServer::~BatchServer() {
   CloseAll();
@@ -39,10 +39,6 @@ BatchServer::~BatchServer() {
 }
 
 Status BatchServer::Start() {
-  Status status;
-  engine_ = QueryEngine::Create(db_, options_.scheduler, &status);
-  if (engine_ == nullptr) return status;
-
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) return Errno("socket");
   int one = 1;
@@ -196,7 +192,7 @@ bool BatchServer::HandleFrame(Connection* conn, const std::string& payload) {
       QueryBatch batch;
       if (!WireDecodeMultiSeekRequest(payload, &batch)) return false;
       std::vector<MultiSeekResult> results;
-      engine_->Run(batch, &results);
+      engine_.Run(batch, &results);
       ++stats_.batches_served;
       stats_.queries_served += batch.size();
       WireEncodeResultsResponse(results, &conn->out);

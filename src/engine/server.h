@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 
 #include "engine/query_engine.h"
@@ -32,7 +31,6 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   uint16_t port = 0;  // 0 = pick an ephemeral port (see port())
   int backlog = 128;
-  std::string scheduler = "sorted";
 };
 
 class BatchServer {
@@ -88,9 +86,8 @@ class BatchServer {
   void CloseConnection(int fd);
   void CloseAll();
 
-  Db* db_;
   ServerOptions options_;
-  std::unique_ptr<QueryEngine> engine_;
+  QueryEngine engine_;
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
   int wake_fds_[2] = {-1, -1};  // self-pipe: Stop() -> event loop wakeup

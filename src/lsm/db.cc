@@ -2322,7 +2322,7 @@ bool Db::SeekLoop(const ReadView& view, const ReadOptions& ro,
   }
 }
 
-void Db::MultiSeek(const QueryBatch& batch, const Scheduler& scheduler,
+void Db::MultiSeek(const QueryBatch& batch,
                    std::vector<MultiSeekResult>* results,
                    const ReadOptions& options) {
   const size_t n = batch.size();
@@ -2336,38 +2336,16 @@ void Db::MultiSeek(const QueryBatch& batch, const Scheduler& scheduler,
   const BlockReadOptions bro{options.verify_checksums, options.fill_cache,
                              /*use_cache=*/true};
 
-  // Layout hints for layout-aware schedulers: the boundaries of the
-  // largest sorted level (the one most batches fan out over).
-  ScheduleContext context;
-  size_t widest = 0;  // 0 = no sorted level yet (L0 has no boundaries)
-  for (size_t level = 1; level < view.version->levels.size(); ++level) {
-    if (view.version->levels[level].size() >
-        (widest == 0 ? size_t{0} : view.version->levels[widest].size())) {
-      widest = level;
-    }
-  }
-  if (widest != 0) {
-    context.file_boundaries.reserve(view.version->levels[widest].size());
-    for (const auto& f : view.version->levels[widest]) {
-      context.file_boundaries.push_back(f->smallest);
-    }
-  }
-  std::vector<uint32_t> order;
-  scheduler.Plan(batch, context, &order);
-  // A scheduler must emit a permutation; a broken one must not lose or
-  // duplicate queries, so fall back to arrival order if it didn't.
-  {
-    std::vector<uint8_t> seen(n, 0);
-    bool valid = order.size() == n;
-    for (size_t i = 0; valid && i < n; ++i) {
-      valid = order[i] < n && !seen[order[i]];
-      if (valid) seen[order[i]] = 1;
-    }
-    if (!valid) {
-      order.resize(n);
-      for (size_t i = 0; i < n; ++i) order[i] = static_cast<uint32_t>(i);
-    }
-  }
+  // Admit queries in ascending lo (stable, so equal los keep arrival
+  // order): the per-SST grouping below preserves this order, so one
+  // file's filter prefix regions and data blocks are visited in key
+  // order while they are hot. Answers land at arrival indices.
+  std::vector<uint32_t> order(n);
+  for (size_t i = 0; i < n; ++i) order[i] = static_cast<uint32_t>(i);
+  std::stable_sort(order.begin(), order.end(),
+                   [&batch](uint32_t a, uint32_t b) {
+                     return batch[a].lo < batch[b].lo;
+                   });
 
   // Round one: the first Seek-loop iteration of every query, batched so
   // each SST is visited once. Per-query winners accumulate here exactly
@@ -2418,7 +2396,7 @@ void Db::MultiSeek(const QueryBatch& batch, const Scheduler& scheduler,
     }
   }
 
-  // Per-SST grouping: a file's group is the (scheduled-order) queries
+  // Per-SST grouping: a file's group is the (key-ordered) queries
   // that still need it; all their filter verdicts come from one batched
   // call, then only the passing ones probe the SST. A query that finds
   // an in-range entry (rc == 0) is done with the level — Seek's
@@ -2511,12 +2489,9 @@ void Db::MultiSeek(const QueryBatch& batch, const Scheduler& scheduler,
       if (it == files.end() || (*it)->smallest > q.hi) continue;
       assigned.emplace_back(static_cast<uint32_t>(it - files.begin()), qi);
     }
-    // Queries with the same entry file become adjacent, scheduled order
-    // preserved within each file.
-    std::stable_sort(assigned.begin(), assigned.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.first < b.first;
-                     });
+    // `order` ascends by lo and the level's files ascend by key, so the
+    // entry file never moves backwards: `assigned` is already grouped
+    // by file, in key order within each.
     size_t pos = 0;
     carry.clear();
     for (size_t i = 0; i < files.size(); ++i) {

@@ -74,7 +74,7 @@
 #include <utility>
 #include <vector>
 
-#include "engine/scheduler.h"
+#include "core/query.h"
 #include "lsm/block_cache.h"
 #include "lsm/drift.h"
 #include "lsm/filter_policy.h"
@@ -330,16 +330,17 @@ class Db {
                   const ReadOptions& options = {});
 
   /// Batched Seek: answers every query in `batch` with exactly the
-  /// Seek() results, but amortizes the tree walk across the batch. The
-  /// scheduler fixes the execution order (see engine/scheduler.h); the
-  /// engine then visits each overlapping SST once, takes all of the
-  /// batch's filter verdicts for that file in one MultiMayContain call,
-  /// and probes only the passing queries — so with a key-sorted order
-  /// one file's filter and data blocks stay hot for the whole batch
-  /// instead of being re-fetched per query. The whole batch resolves
+  /// Seek() results, but amortizes the tree walk across the batch.
+  /// Queries run in ascending-lo order whatever their arrival order,
+  /// and each answer lands at its query's index in `batch`. The engine
+  /// visits each overlapping SST once, takes all of the batch's filter
+  /// verdicts for that file in one MultiMayContain call, and probes
+  /// only the passing queries — so one file's filter and data blocks
+  /// stay hot for the whole batch, visited in key order, instead of
+  /// being re-fetched per query. The whole batch resolves
   /// against ONE pinned view and one snapshot horizon, so its answers
   /// are mutually consistent even while writers commit concurrently.
-  void MultiSeek(const QueryBatch& batch, const Scheduler& scheduler,
+  void MultiSeek(const QueryBatch& batch,
                  std::vector<MultiSeekResult>* results,
                  const ReadOptions& options = {});
 

@@ -25,7 +25,6 @@
 #include <utility>
 #include <vector>
 
-#include "engine/scheduler.h"
 #include "lsm/db.h"
 #include "lsm/filter_policy.h"
 #include "surf/surf.h"
@@ -79,7 +78,7 @@ class Differential {
     ++op_;
   }
 
-  void MultiSeek(const Phase& p, const Scheduler& scheduler) {
+  void MultiSeek(const Phase& p) {
     QueryBatch batch;
     std::vector<std::pair<uint64_t, uint64_t>> ranges;
     for (int i = 0; i < 16; ++i) {
@@ -88,7 +87,7 @@ class Differential {
       ranges.emplace_back(lo, hi);
     }
     std::vector<MultiSeekResult> results;
-    db_->MultiSeek(batch, scheduler, &results);
+    db_->MultiSeek(batch, &results);
     ASSERT_EQ(results.size(), batch.size());
     for (size_t i = 0; i < results.size(); ++i) {
       Check(results[i], ranges[i].first, ranges[i].second);
@@ -172,8 +171,6 @@ void RunDifferential(size_t shards, uint64_t seed) {
 
   std::mt19937_64 rng(seed);
   Differential diff(db.get(), &rng);
-  auto scheduler = SchedulerRegistry::Global().Create("sorted");
-  ASSERT_NE(scheduler, nullptr);
 
   // Phase A: uniform keys, wide scans. Phase B (the shift): clustered
   // keys, point-ish lookups. A close/reopen sits between them, so phase
@@ -197,7 +194,7 @@ void RunDifferential(size_t shards, uint64_t seed) {
       } else if (dice < 90) {
         diff.Seek(p);
       } else {
-        diff.MultiSeek(p, *scheduler);
+        diff.MultiSeek(p);
       }
       if (testing::Test::HasFatalFailure()) return;
     }
@@ -218,14 +215,21 @@ void RunDifferential(size_t shards, uint64_t seed) {
 
   run_phase(phase_b, 1500);
   ASSERT_FALSE(testing::Test::HasFatalFailure());
+  // Settle the tree before the reads shift. Phase B's last flush runs in
+  // the background and designs its filter from the query window as it
+  // stands when the flush gets there; left running, it could sample a
+  // window the pursuit below has already half turned back to phase A.
+  // Such a file is designed for the pursuit's own traffic, so it never
+  // drifts and the test would measure thread timing, not the detector.
+  ASSERT_TRUE(db->CompactAll().ok());
+  db->WaitForBackground();
 
-  // Phase B's own puts flushed and compacted the tree, so its youngest
-  // files were designed from the B window — those designs are current,
-  // and correctly undisturbed. Shift the reads once more (back to wide
-  // uniform scans) and keep serving until drift-triggered redesigns ran
-  // (bounded; the differential checks stay on the whole time). Pure
-  // seeks: a put here would flush/compact the tree and replace the very
-  // files whose probe counters are accumulating toward the threshold.
+  // Every file is now designed from the B window. Shift the reads once
+  // more (back to wide uniform scans) and keep serving until
+  // drift-triggered redesigns ran (bounded; the differential checks stay
+  // on the whole time). Pure seeks: a put here would flush/compact the
+  // tree and replace the very files whose probe counters are
+  // accumulating toward the threshold.
   for (int round = 0; round < 40 && db->stats().redesigns == 0; ++round) {
     for (int i = 0; i < 400; ++i) diff.Seek(phase_a);
     ASSERT_FALSE(testing::Test::HasFatalFailure());

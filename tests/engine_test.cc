@@ -1,6 +1,6 @@
-// The batched query engine: scheduler registry + plan properties,
-// randomized MultiSeek ≡ sequential-Seek equivalence (tombstones,
-// filters, across reopen), per-batch stats, and the sample-queue feed.
+// The batched query engine: randomized MultiSeek ≡ sequential-Seek
+// equivalence (tombstones, filters, across reopen, any arrival order),
+// per-batch stats, and the sample-queue feed.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "engine/query_engine.h"
-#include "engine/scheduler.h"
 #include "lsm/db.h"
 #include "surf/surf.h"
 #include "util/random.h"
@@ -43,123 +42,48 @@ QueryBatch RandomBatch(Rng& rng, size_t n) {
   return batch;
 }
 
-// --- scheduler registry + plan properties ---
-
-TEST(SchedulerTest, RegistryResolvesFamiliesAndAliases) {
-  auto& registry = SchedulerRegistry::Global();
-  for (const char* spec : {"fifo", "sorted", "key-sorted", "grouped",
-                           "per-sst"}) {
-    std::string error;
-    auto scheduler = registry.Create(spec, &error);
-    ASSERT_NE(scheduler, nullptr) << spec << ": " << error;
-  }
-  std::string error;
-  EXPECT_EQ(registry.Create("no-such-scheduler", &error), nullptr);
-  EXPECT_NE(error.find("unknown scheduler"), std::string::npos) << error;
-  // The builtins take no parameters.
-  EXPECT_EQ(registry.Create("sorted:foo=1", &error), nullptr);
-}
-
-TEST(SchedulerTest, PlansArePermutations) {
-  Rng rng(17);
-  QueryBatch batch = RandomBatch(rng, 100);
-  ScheduleContext context;
-  for (int i = 0; i < 8; ++i) {
-    context.file_boundaries.push_back(EncodeKeyBE(i * 600000));
-  }
-  for (const char* spec : {"fifo", "sorted", "grouped"}) {
-    auto scheduler = SchedulerRegistry::Global().Create(spec);
-    ASSERT_NE(scheduler, nullptr);
-    std::vector<uint32_t> order;
-    scheduler->Plan(batch, context, &order);
-    ASSERT_EQ(order.size(), batch.size()) << spec;
-    std::vector<uint32_t> sorted_order = order;
-    std::sort(sorted_order.begin(), sorted_order.end());
-    for (uint32_t i = 0; i < sorted_order.size(); ++i) {
-      ASSERT_EQ(sorted_order[i], i) << spec << " is not a permutation";
-    }
-  }
-}
-
-TEST(SchedulerTest, FifoKeepsArrivalOrder) {
-  Rng rng(18);
-  QueryBatch batch = RandomBatch(rng, 50);
-  auto scheduler = SchedulerRegistry::Global().Create("fifo");
-  std::vector<uint32_t> order;
-  scheduler->Plan(batch, ScheduleContext(), &order);
-  for (uint32_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(SchedulerTest, SortedOrdersByLowerBound) {
-  Rng rng(19);
-  QueryBatch batch = RandomBatch(rng, 200);
-  auto scheduler = SchedulerRegistry::Global().Create("sorted");
-  std::vector<uint32_t> order;
-  scheduler->Plan(batch, ScheduleContext(), &order);
-  ASSERT_EQ(order.size(), batch.size());
-  for (size_t i = 1; i < order.size(); ++i) {
-    EXPECT_LE(batch[order[i - 1]].lo, batch[order[i]].lo);
-  }
-}
-
-TEST(SchedulerTest, GroupedClustersByFileThenSortsByKey) {
-  Rng rng(20);
-  QueryBatch batch = RandomBatch(rng, 200);
-  ScheduleContext context;
-  for (int i = 0; i < 10; ++i) {
-    context.file_boundaries.push_back(EncodeKeyBE(i * 500000));
-  }
-  auto bucket_of = [&](const StrRangeQuery& q) {
-    auto it = std::upper_bound(context.file_boundaries.begin(),
-                               context.file_boundaries.end(), q.lo);
-    return it == context.file_boundaries.begin()
-               ? 0
-               : static_cast<int>(it - context.file_boundaries.begin()) - 1;
-  };
-  auto scheduler = SchedulerRegistry::Global().Create("grouped");
-  std::vector<uint32_t> order;
-  scheduler->Plan(batch, context, &order);
-  ASSERT_EQ(order.size(), batch.size());
-  for (size_t i = 1; i < order.size(); ++i) {
-    const auto& prev = batch[order[i - 1]];
-    const auto& cur = batch[order[i]];
-    ASSERT_LE(bucket_of(prev), bucket_of(cur)) << "buckets out of order";
-    if (bucket_of(prev) == bucket_of(cur)) {
-      EXPECT_LE(prev.lo, cur.lo) << "keys out of order within a bucket";
-    }
-  }
-  // Without layout hints, grouped degrades to key order.
-  scheduler->Plan(batch, ScheduleContext(), &order);
-  for (size_t i = 1; i < order.size(); ++i) {
-    EXPECT_LE(batch[order[i - 1]].lo, batch[order[i]].lo);
-  }
-}
-
 // --- MultiSeek ≡ Seek ---
 
+// `batch` reordered by descending lo, with repeats: every third query
+// twice in a row and the first one again at the end. MultiSeek runs
+// queries in ascending lo whatever their arrival order, so this checks
+// that every answer still lands at its query's arrival index.
+QueryBatch DescendingWithRepeats(QueryBatch batch) {
+  std::sort(batch.begin(), batch.end(),
+            [](const StrRangeQuery& a, const StrRangeQuery& b) {
+              return a.lo > b.lo;
+            });
+  QueryBatch out;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    out.push_back(batch[i]);
+    if (i % 3 == 0) out.push_back(batch[i]);
+  }
+  if (!batch.empty()) out.push_back(batch.front());
+  return out;
+}
+
 // Runs random batches against a DB and asserts MultiSeek's results equal
-// a sequential Seek loop's, for every builtin scheduler.
+// a sequential Seek loop's, for each batch as drawn and reordered by
+// DescendingWithRepeats.
 void CheckEquivalence(Db& db, Rng& rng, int batches, size_t batch_size) {
-  std::vector<std::string> specs = {"fifo", "sorted", "grouped"};
   for (int round = 0; round < batches; ++round) {
-    QueryBatch batch = RandomBatch(rng, batch_size);
-    std::vector<std::vector<MultiSeekResult>> all(specs.size());
-    for (size_t s = 0; s < specs.size(); ++s) {
-      auto scheduler = SchedulerRegistry::Global().Create(specs[s]);
-      ASSERT_NE(scheduler, nullptr);
-      db.MultiSeek(batch, *scheduler, &all[s]);
-      ASSERT_EQ(all[s].size(), batch.size());
-    }
-    for (size_t i = 0; i < batch.size(); ++i) {
-      SeekResult seq = db.Seek(batch[i].lo, batch[i].hi);
-      for (size_t s = 0; s < specs.size(); ++s) {
-        const MultiSeekResult& r = all[s][i];
+    const QueryBatch drawn = RandomBatch(rng, batch_size);
+    const QueryBatch descending = DescendingWithRepeats(drawn);
+    for (const QueryBatch* batch : {&drawn, &descending}) {
+      const char* label = batch == &drawn ? "drawn" : "descending";
+      std::vector<MultiSeekResult> results;
+      db.MultiSeek(*batch, &results);
+      ASSERT_EQ(results.size(), batch->size()) << label;
+      for (size_t i = 0; i < batch->size(); ++i) {
+        const StrRangeQuery& q = (*batch)[i];
+        SeekResult seq = db.Seek(q.lo, q.hi);
+        const MultiSeekResult& r = results[i];
         ASSERT_EQ(r.found, seq.found)
-            << specs[s] << " round " << round << " query " << i;
-        ASSERT_EQ(r.status.ok(), seq.status.ok()) << specs[s];
+            << label << " round " << round << " query " << i;
+        ASSERT_EQ(r.status.ok(), seq.status.ok()) << label;
         if (seq.found) {
-          ASSERT_EQ(r.key, seq.key) << specs[s] << " query " << i;
-          ASSERT_EQ(r.value, seq.value) << specs[s] << " query " << i;
+          ASSERT_EQ(r.key, seq.key) << label << " query " << i;
+          ASSERT_EQ(r.value, seq.value) << label << " query " << i;
         }
       }
     }
@@ -238,11 +162,10 @@ TEST(MultiSeekTest, MatchesSeekAgainstReferenceMap) {
       ref[key] = value;
     }
   }
-  auto scheduler = SchedulerRegistry::Global().Create("sorted");
   for (int round = 0; round < 20; ++round) {
     QueryBatch batch = RandomBatch(rng, 64);
     std::vector<MultiSeekResult> results;
-    db->MultiSeek(batch, *scheduler, &results);
+    db->MultiSeek(batch, &results);
     for (size_t i = 0; i < batch.size(); ++i) {
       auto it = ref.lower_bound(batch[i].lo);
       bool ref_found = it != ref.end() && it->first <= batch[i].hi;
@@ -259,11 +182,10 @@ TEST(MultiSeekTest, EmptyAndSingletonBatches) {
   auto [db, st] = Db::Create(SmallDbOptions("edge"));
   ASSERT_TRUE(st.ok());
   ASSERT_TRUE(db->Put(EncodeKeyBE(100), "x").ok());
-  auto scheduler = SchedulerRegistry::Global().Create("sorted");
   std::vector<MultiSeekResult> results;
-  db->MultiSeek({}, *scheduler, &results);
+  db->MultiSeek({}, &results);
   EXPECT_TRUE(results.empty());
-  db->MultiSeek({{EncodeKeyBE(50), EncodeKeyBE(150)}}, *scheduler, &results);
+  db->MultiSeek({{EncodeKeyBE(50), EncodeKeyBE(150)}}, &results);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_TRUE(results[0].found);
   EXPECT_EQ(results[0].key, EncodeKeyBE(100));
@@ -280,14 +202,13 @@ TEST(MultiSeekTest, EmptyQueriesFeedTheSampleQueue) {
   for (uint64_t k = 0; k < 200; ++k) {
     ASSERT_TRUE(db->Put(EncodeKeyBE(k * 1000000), "v").ok());
   }
-  auto scheduler = SchedulerRegistry::Global().Create("sorted");
   QueryBatch batch;
   for (uint64_t i = 0; i < 100; ++i) {
     // Between keys: all empty.
     batch.push_back({EncodeKeyBE(i * 1000000 + 10), EncodeKeyBE(i * 1000000 + 20)});
   }
   std::vector<MultiSeekResult> results;
-  db->MultiSeek(batch, *scheduler, &results);
+  db->MultiSeek(batch, &results);
   for (const auto& r : results) ASSERT_FALSE(r.found);
   const DbStats s = db->stats();
   EXPECT_EQ(s.seeks, 100u);
@@ -312,9 +233,8 @@ TEST(QueryEngineTest, ReportsBatchStats) {
   ASSERT_TRUE(db->CompactAll().ok());
 
   Status status;
-  auto engine = QueryEngine::Create(db.get(), "grouped", &status);
+  auto engine = QueryEngine::Create(db.get(), "sorted", &status);
   ASSERT_NE(engine, nullptr) << status.ToString();
-  EXPECT_EQ(engine->scheduler().Name(), "grouped");
 
   QueryBatch batch = RandomBatch(rng, 128);
   std::vector<MultiSeekResult> results;
@@ -333,7 +253,7 @@ TEST(QueryEngineTest, ReportsBatchStats) {
   engine->Run(batch, &results);
   EXPECT_EQ(engine->totals().queries, 2 * batch.size());
 
-  // Bad spec surfaces as InvalidArgument, not a crash.
+  // Any order but "sorted" surfaces as InvalidArgument, not a crash.
   auto bad = QueryEngine::Create(db.get(), "warp-speed", &status);
   EXPECT_EQ(bad, nullptr);
   EXPECT_FALSE(status.ok());

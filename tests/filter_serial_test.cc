@@ -322,6 +322,45 @@ TEST(FilterSerial, HugeWireCountsAreRejectedNotAllocated) {
   EXPECT_FALSE(BitVector::ParseFrom(&view, &bv));
 }
 
+TEST(FilterSerial, PrefixLengthsAbove64AreRejected) {
+  // A stored prefix length above 64 would make PrefixBits64 shift by a
+  // negative amount at query time; parsing must refuse it instead. Each
+  // case names a u32 length field by its offset in the blob (12-byte
+  // header, then the family payload) and the value the spec put there.
+  struct Case {
+    const char* spec;
+    size_t offset;
+    uint32_t stored;
+  };
+  const Case cases[] = {
+      {"onepbf:prefix=56", 24, 56},      // fpr flag+value, PrefixBloom len
+      {"twopbf:l1=16,l2=48", 12, 16},    // config l1
+      {"twopbf:l1=16,l2=48", 16, 48},    // config l2
+      {"twopbf:l1=16,l2=48", 40, 16},    // bf1's PrefixBloom len
+      {"proteus:trie=16,bloom=48", 12, 16},  // config trie_depth
+      {"proteus:trie=16,bloom=48", 16, 48},  // config bf_prefix_len
+  };
+  auto keys = GenerateKeys(Dataset::kUniform, 500, 76);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.spec) + " @" + std::to_string(c.offset));
+    auto filter = FilterRegistry::Global().Create(c.spec, keys);
+    ASSERT_NE(filter, nullptr);
+    std::string blob;
+    filter->Serialize(&blob);
+    uint32_t stored;
+    std::memcpy(&stored, blob.data() + c.offset, sizeof(stored));
+    ASSERT_EQ(stored, c.stored) << "offset does not hold the length";
+    ASSERT_NE(Filter::Deserialize(blob), nullptr);
+
+    std::string bad = blob;
+    const uint32_t too_long = 65;
+    std::memcpy(bad.data() + c.offset, &too_long, sizeof(too_long));
+    std::string error;
+    EXPECT_EQ(Filter::Deserialize(bad, &error), nullptr);
+    EXPECT_FALSE(error.empty());
+  }
+}
+
 TEST(FilterSerial, SstFilterBlocksPersistWithoutRebuilding) {
   // The LSM path: a policy-built SST filter serializes into a block and
   // reloads as an equivalent filter, keys never re-touched.

@@ -78,7 +78,7 @@ bool RecvFrame(int fd, std::string* payload) {
 
 class ServerTest : public ::testing::Test {
  protected:
-  void StartServer(const std::string& scheduler = "sorted") {
+  void StartServer() {
     DbOptions options;
     options.dir = "/tmp/proteus_server_test";
     options.memtable_bytes = 64 << 10;
@@ -98,7 +98,6 @@ class ServerTest : public ::testing::Test {
 
     ServerOptions server_options;
     server_options.port = 0;  // ephemeral
-    server_options.scheduler = scheduler;
     server_ = std::make_unique<BatchServer>(db_.get(), server_options);
     Status status = server_->Start();
     ASSERT_TRUE(status.ok()) << status.ToString();
@@ -133,7 +132,7 @@ TEST_F(ServerTest, PingPong) {
 }
 
 TEST_F(ServerTest, EightConcurrentConnectionsMatchDirectSeek) {
-  StartServer("grouped");
+  StartServer();
   constexpr int kConnections = 8;
   constexpr int kBatchesPerConnection = 12;
   constexpr size_t kBatchSize = 48;
